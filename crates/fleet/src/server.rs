@@ -20,25 +20,25 @@
 //!
 //! The protocol edge reuses the introspect server's hardened
 //! primitives ([`read_request_head`], bounded lines, read/write
-//! timeouts, connection cap), so both serving layers shed and fail
-//! identically. On top of that the fleet adds **admission control**:
-//! when a shard hub's deepest subscriber queue crosses
+//! timeouts) and its blocking [`Acceptor`] (thread per connection,
+//! connection cap, wake-on-stop), so both serving layers accept, shed
+//! and fail identically. On top of that the fleet adds **admission
+//! control**: when a shard hub's deepest subscriber queue crosses
 //! [`FleetServerOptions::watermark`], new event subscriptions are shed
 //! with `503` + `Retry-After` instead of being admitted into an
 //! already-backlogged fan-out.
 
 use crate::shard::ShardRuntime;
 use apollo_introspect::server::{
-    is_timeout, read_request_head, respond, respond_with_headers,
+    is_timeout, read_request_head, respond, respond_with_headers, Acceptor,
 };
 use apollo_introspect::sync::plock;
 use apollo_telemetry::FieldValue;
 use std::fmt::Write as _;
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Fleet serving knobs (superset of the introspect server's hardening
@@ -77,37 +77,28 @@ impl Default for FleetServerOptions {
 
 /// Running fleet server: bound address plus lifecycle control.
 pub struct FleetServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     runtime: Arc<ShardRuntime>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    acceptor: Acceptor,
 }
 
 impl FleetServerHandle {
     /// The bound listen address (resolves port 0 to the real port).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
-    /// Stops the server: raises the stop flag, closes every shard hub
-    /// (ending all event streams), and joins all server threads.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+    /// Stops the server: closes every shard hub (ending all event
+    /// streams), then stops the acceptor, which raises the stop flag
+    /// and joins all server threads.
+    pub fn stop(self) {
         self.runtime.close();
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let conns = std::mem::take(&mut *plock(&self.conns));
-        for h in conns {
-            let _ = h.join();
-        }
+        self.acceptor.stop();
     }
 }
 
 /// Binds `listen` (port 0 picks a free port) and serves the fleet
-/// runtime until `stop` becomes true.
+/// runtime until [`FleetServerHandle::stop`].
 ///
 /// # Errors
 /// Returns the bind error if the address is unavailable.
@@ -117,67 +108,27 @@ pub fn serve_fleet(
     stop: Arc<AtomicBool>,
     opts: FleetServerOptions,
 ) -> std::io::Result<FleetServerHandle> {
-    let listener = TcpListener::bind(listen)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let accept = {
-        let stop = Arc::clone(&stop);
+    let shed_opts = opts.clone();
+    let handle = {
         let runtime = Arc::clone(&runtime);
-        let conns = Arc::clone(&conns);
-        std::thread::spawn(move || accept_loop(&listener, &runtime, &stop, &conns, &opts))
-    };
-    Ok(FleetServerHandle {
-        addr,
-        stop,
-        runtime,
-        accept: Some(accept),
-        conns,
-    })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    runtime: &Arc<ShardRuntime>,
-    stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    opts: &FleetServerOptions,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let live = {
-                    let mut guard = plock(conns);
-                    let (done, alive): (Vec<_>, Vec<_>) = std::mem::take(&mut *guard)
-                        .into_iter()
-                        .partition(JoinHandle::is_finished);
-                    *guard = alive;
-                    drop(guard);
-                    for h in done {
-                        let _ = h.join();
-                    }
-                    plock(conns).len()
-                };
-                if live >= opts.max_conns {
-                    let _ = stream.set_write_timeout(Some(opts.write_timeout));
-                    let _ = shed(&mut stream, "conn_cap", opts);
-                    continue;
-                }
-                let runtime = Arc::clone(runtime);
-                let stop = Arc::clone(stop);
-                let opts = opts.clone();
-                let handle = std::thread::spawn(move || {
-                    // Peer noise must never take the fleet endpoint down.
-                    let _ = handle_connection(stream, &runtime, &stop, &opts);
-                });
-                plock(conns).push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        let stop = Arc::clone(&stop);
+        move |stream| {
+            // Peer noise must never take the fleet endpoint down.
+            let _ = handle_connection(stream, &runtime, &stop, &opts);
         }
-    }
+    };
+    let acceptor = Acceptor::bind(
+        listen,
+        stop,
+        shed_opts.max_conns,
+        "fleet.http.accept_errors",
+        handle,
+        move |stream| {
+            let _ = stream.set_write_timeout(Some(shed_opts.write_timeout));
+            let _ = shed(stream, "conn_cap", &shed_opts);
+        },
+    )?;
+    Ok(FleetServerHandle { runtime, acceptor })
 }
 
 /// Answers a load-shedding `503` with an advisory `Retry-After`.
@@ -362,9 +313,6 @@ fn stream_fleet_events(
     write_ndjson_head(out)?;
     let mut open: Vec<bool> = vec![true; subs.len()];
     while open.iter().any(|&o| o) {
-        if stop.load(Ordering::Relaxed) && runtime.hubs.iter().all(|h| h.closed()) {
-            // Final drain below still runs for each open sub.
-        }
         let mut progressed = false;
         for (i, sub) in subs.iter().enumerate() {
             if !open[i] {
@@ -439,6 +387,8 @@ mod tests {
     use apollo_introspect::{http_get, HealthRegistry};
     use apollo_telemetry::framing;
     use std::collections::BTreeMap;
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::sync::Mutex;
 
     fn test_batch(shard: u64, seq: u64, window: u64, cores: &[&str]) -> WindowBatch {
         let rows: Vec<(String, Vec<String>, CoreWindow)> = cores
@@ -586,5 +536,49 @@ mod tests {
         assert!(lines.iter().any(|l| l.contains("shutting down")));
         assert!(stop.load(Ordering::Relaxed));
         server.stop();
+    }
+
+    /// Stops `server` on a thread of its own and fails unless `stop()`
+    /// returns within 5 s, so a hang fails the test instead of hanging
+    /// the suite.
+    fn stops_within_5s(server: FleetServerHandle) {
+        let (done, finished) = channel();
+        std::thread::spawn(move || {
+            server.stop();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(Duration::from_secs(5)) {
+            Ok(()) => {}
+            Err(RecvTimeoutError::Timeout) => panic!("stop() hung"),
+            Err(RecvTimeoutError::Disconnected) => panic!("stop() panicked"),
+        }
+    }
+
+    #[test]
+    fn stop_returns_for_an_idle_server() {
+        let (server, _addr, _stop) = start(&test_runtime(&["c0"]), FleetServerOptions::default());
+        stops_within_5s(server);
+    }
+
+    #[test]
+    fn stop_returns_after_shutdown() {
+        let (server, addr, stop) = start(&test_runtime(&["c0"]), FleetServerOptions::default());
+        http_get_lines(&addr, "/shutdown", None).unwrap();
+        assert!(stop.load(Ordering::Relaxed));
+        stops_within_5s(server);
+    }
+
+    #[test]
+    fn stop_wakes_a_wildcard_bind_over_loopback() {
+        let server = serve_fleet(
+            "0.0.0.0:0",
+            test_runtime(&["c0"]),
+            Arc::new(AtomicBool::new(false)),
+            FleetServerOptions::default(),
+        )
+        .unwrap();
+        let addr = format!("127.0.0.1:{}", server.addr().port());
+        assert_eq!(http_get_lines(&addr, "/healthz", None).unwrap(), ["ok"]);
+        stops_within_5s(server);
     }
 }

@@ -19,6 +19,8 @@
 //!   text on `/metrics` and schema-versioned JSONL on `/events`, with
 //!   `/shutdown` for signal-free termination; hardened against
 //!   malformed, stalled, and excess peers ([`server::ServerOptions`]);
+//!   its blocking [`server::Acceptor`] is the accept loop the fleet
+//!   endpoint shares;
 //! * [`health`] — the fleet health surface behind the server's
 //!   `/healthz` and `/status` endpoints: a shared registry the
 //!   monitor and supervisor write into, snapshotted as a versioned,
@@ -71,7 +73,7 @@ pub use monitor::{run_monitor, run_monitor_with, MonitorConfig, MonitorReport, R
 pub use ring::{History, HistoryAggregates, HistoryStats, WindowRecord};
 pub use server::{
     http_get_lines, is_timeout, read_line_bounded, read_request_head, respond,
-    respond_with_headers, serve, serve_with, LineRead, ServerHandle, ServerOptions,
+    respond_with_headers, serve, serve_with, Acceptor, LineRead, ServerHandle, ServerOptions,
 };
 pub use supervisor::{
     fleet_specs, panic_text, run_supervised, BackoffPolicy, Decision, InjectedPanic,

@@ -14,9 +14,12 @@
 //!   the shared stop flag.
 //! * `GET /` — a short plain-text index.
 //!
-//! The accept loop is non-blocking and polls the stop flag, so the
-//! server winds down without signal handlers; connection handlers are
-//! joined on [`ServerHandle::stop`].
+//! Connections arrive through [`Acceptor`], the one accept loop both
+//! serving layers share: a thread blocked in `accept`, so a request is
+//! picked up the moment it arrives, and a thread per connection.
+//! [`ServerHandle::stop`] raises the stop flag and wakes the blocked
+//! `accept` with one loopback connection, so the server winds down
+//! without signal handlers; connection handlers are joined on stop.
 //!
 //! # Hardening
 //!
@@ -44,12 +47,170 @@ use crate::health::HealthRegistry;
 use crate::hub::{MonitorHub, Poll};
 use crate::sync::plock;
 use apollo_telemetry::{FieldValue, Record, SCHEMA_VERSION};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Pause after an accept error other than an aborted handshake (e.g.
+/// `EMFILE`), so descriptor exhaustion cannot spin a core.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
+/// Wake connections [`Acceptor::stop`] makes before it gives up on the
+/// accept thread.
+const WAKE_ATTEMPTS: u32 = 20;
+/// Connect timeout of one wake connection, and how long `stop` then
+/// waits for the accept thread to exit before trying again.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// The accept loop behind both serving layers (this module's server
+/// and `apollo-fleet`'s).
+///
+/// Owns the listener and one thread blocked in `accept`. Each admitted
+/// connection runs the server's handler on a thread of its own;
+/// finished handler threads are reaped on every accept, and once
+/// `max_conns` handlers are live, further peers get the server's shed
+/// responder on the accept thread instead. The stop flag is checked
+/// right after every `accept`: a connection accepted once it is up
+/// (the wake connection [`Acceptor::stop`] makes, or a peer racing it)
+/// is dropped unanswered.
+pub struct Acceptor {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
+    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+}
+
+impl Acceptor {
+    /// Binds `listen` (port 0 picks a free port) and starts accepting.
+    /// `handle` serves one connection; `shed` answers a peer over the
+    /// connection cap. Failed `accept`s count into the `accept_errors`
+    /// counter.
+    ///
+    /// # Errors
+    /// Returns the bind error if the address is unavailable.
+    pub fn bind<H, S>(
+        listen: &str,
+        stop: Arc<AtomicBool>,
+        max_conns: usize,
+        accept_errors: &'static str,
+        handle: H,
+        mut shed: S,
+    ) -> std::io::Result<Acceptor>
+    where
+        H: Fn(TcpStream) + Send + Sync + 'static,
+        S: FnMut(&mut TcpStream) + Send + 'static,
+    {
+        let listener = TcpListener::bind(listen)?;
+        let addr = listener.local_addr()?;
+        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let thread = {
+            let stop = Arc::clone(&stop);
+            let conns = Arc::clone(&conns);
+            let handle = Arc::new(handle);
+            std::thread::spawn(move || loop {
+                let accepted = listener.accept();
+                if stop.load(Ordering::SeqCst) {
+                    return; // drops the wake connection unanswered
+                }
+                let mut stream = match accepted {
+                    Ok((stream, _)) => stream,
+                    Err(e) => {
+                        apollo_telemetry::counter(accept_errors).inc();
+                        // An aborted handshake is retried at once.
+                        if !matches!(
+                            e.kind(),
+                            ErrorKind::ConnectionAborted | ErrorKind::Interrupted
+                        ) {
+                            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                        }
+                        continue;
+                    }
+                };
+                let live = {
+                    // Reap finished handler threads so the cap counts
+                    // *live* connections, not lifetime totals.
+                    let mut conns = plock(&conns);
+                    for done in conns.extract_if(.., |h| h.is_finished()) {
+                        let _ = done.join();
+                    }
+                    conns.len()
+                };
+                if live >= max_conns {
+                    // Shed load instead of queueing unboundedly.
+                    shed(&mut stream);
+                    continue;
+                }
+                let handle = Arc::clone(&handle);
+                let thread = std::thread::spawn(move || handle(stream));
+                plock(&conns).push(thread);
+            })
+        };
+        Ok(Acceptor {
+            addr,
+            stop,
+            thread,
+            conns,
+        })
+    }
+
+    /// The bound listen address (resolves port 0 to the real port).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Raises the stop flag, wakes the blocked `accept` with a loopback
+    /// connection, and joins the accept thread and every handler.
+    ///
+    /// Always returns: should no wake connection get through within
+    /// about 10 s (the listen address unreachable from this host), the
+    /// accept thread is left detached rather than joined.
+    pub fn stop(self) {
+        let Acceptor {
+            addr,
+            stop,
+            thread,
+            conns,
+        } = self;
+        stop.store(true, Ordering::SeqCst);
+        let wake = wake_addr(addr);
+        let woke = (0..WAKE_ATTEMPTS).any(|_| {
+            let _ = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT);
+            finished_within(&thread, WAKE_TIMEOUT)
+        });
+        if woke {
+            let _ = thread.join();
+        }
+        let handlers = std::mem::take(&mut *plock(&conns));
+        for h in handlers {
+            let _ = h.join();
+        }
+    }
+}
+
+/// The address [`Acceptor::stop`] connects to: the bound one, with a
+/// wildcard IP (`0.0.0.0`, `::`) mapped to loopback.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip: IpAddr = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => Ipv4Addr::LOCALHOST.into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => Ipv6Addr::LOCALHOST.into(),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// Waits up to `limit` for `thread` to finish.
+fn finished_within(thread: &JoinHandle<()>, limit: Duration) -> bool {
+    let until = Instant::now() + limit;
+    while !thread.is_finished() {
+        if Instant::now() >= until {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
 
 /// Serving-layer robustness knobs (see module docs).
 #[derive(Clone, Debug)]
@@ -88,31 +249,22 @@ impl Default for ServerOptions {
 
 /// Running server: bound address plus lifecycle control.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     hub: Arc<MonitorHub>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    acceptor: Acceptor,
 }
 
 impl ServerHandle {
     /// The bound listen address (resolves port 0 to the real port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
-    /// Stops the server: sets the shared stop flag, closes the hub
-    /// (ending every `/events` stream), and joins all server threads.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+    /// Stops the server: closes the hub (ending every `/events`
+    /// stream), then stops the acceptor, which raises the shared stop
+    /// flag and joins all server threads.
+    pub fn stop(self) {
         self.hub.close();
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let conns = std::mem::take(&mut *plock(&self.conns));
-        for h in conns {
-            let _ = h.join();
-        }
+        self.acceptor.stop();
     }
 }
 
@@ -144,78 +296,34 @@ pub fn serve_with(
     if opts.health.is_none() {
         opts.health = Some(Arc::new(HealthRegistry::new()));
     }
-    let listener = TcpListener::bind(listen)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let accept = {
-        let stop = Arc::clone(&stop);
+    let (max_conns, write_timeout) = (opts.max_conns, opts.write_timeout);
+    let handle = {
         let hub = Arc::clone(&hub);
-        let conns = Arc::clone(&conns);
-        std::thread::spawn(move || {
-            accept_loop(&listener, &hub, &stop, &conns, &opts);
-        })
-    };
-    Ok(ServerHandle {
-        addr,
-        stop,
-        hub,
-        accept: Some(accept),
-        conns,
-    })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    hub: &Arc<MonitorHub>,
-    stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    opts: &ServerOptions,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let live = {
-                    let mut guard = plock(conns);
-                    // Reap finished handler threads so the registry
-                    // tracks *live* connections, not lifetime totals.
-                    let (done, alive): (Vec<_>, Vec<_>) =
-                        std::mem::take(&mut *guard).into_iter().partition(JoinHandle::is_finished);
-                    *guard = alive;
-                    drop(guard);
-                    for h in done {
-                        let _ = h.join();
-                    }
-                    plock(conns).len()
-                };
-                if live >= opts.max_conns {
-                    // Shed load instead of queueing unboundedly.
-                    apollo_telemetry::counter("introspect.http.shed").inc();
-                    let _ = stream.set_write_timeout(Some(opts.write_timeout));
-                    let _ = respond(
-                        &mut stream,
-                        "503 Service Unavailable",
-                        "text/plain",
-                        "connection limit reached\n",
-                    );
-                    continue;
-                }
-                let hub = Arc::clone(hub);
-                let stop = Arc::clone(stop);
-                let opts = opts.clone();
-                let handle = std::thread::spawn(move || {
-                    // Per-connection errors (reset peers, parse noise)
-                    // must not take the server down.
-                    let _ = handle_connection(stream, &hub, &stop, &opts);
-                });
-                plock(conns).push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        let stop = Arc::clone(&stop);
+        move |stream| {
+            // Per-connection errors (reset peers, parse noise) must not
+            // take the server down.
+            let _ = handle_connection(stream, &hub, &stop, &opts);
         }
-    }
+    };
+    let acceptor = Acceptor::bind(
+        listen,
+        stop,
+        max_conns,
+        "introspect.http.accept_errors",
+        handle,
+        move |stream| {
+            apollo_telemetry::counter("introspect.http.shed").inc();
+            let _ = stream.set_write_timeout(Some(write_timeout));
+            let _ = respond(
+                stream,
+                "503 Service Unavailable",
+                "text/plain",
+                "connection limit reached\n",
+            );
+        },
+    )?;
+    Ok(ServerHandle { hub, acceptor })
 }
 
 /// One line read through the byte cap.
@@ -475,16 +583,21 @@ pub fn respond_with_headers(
     extra: &[(&str, &str)],
     body: &str,
 ) -> std::io::Result<()> {
-    let mut headers = String::new();
-    for (name, value) in extra {
-        use std::fmt::Write as _;
-        let _ = write!(headers, "{name}: {value}\r\n");
-    }
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{headers}Connection: close\r\n\r\n{body}",
+    use std::fmt::Write as _;
+    let mut response = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
         body.len()
-    )?;
+    );
+    for (name, value) in extra {
+        let _ = write!(response, "{name}: {value}\r\n");
+    }
+    response.push_str("Connection: close\r\n\r\n");
+    response.push_str(body);
+    // One write: `write!` on the socket would issue one per piece, and
+    // Nagle may hold a tail piece back. Closing a connection whose
+    // request was not read to the end (an oversized line) resets it,
+    // which discards whatever is still held back.
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
@@ -851,5 +964,75 @@ mod tests {
             assert!(!lines.is_empty());
         }
         server.stop();
+    }
+
+    /// Stops `server` on a thread of its own and fails unless `stop()`
+    /// returns within 5 s, so a hang fails the test instead of hanging
+    /// the suite.
+    fn stops_within_5s(server: ServerHandle) {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (done, finished) = channel();
+        std::thread::spawn(move || {
+            server.stop();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(Duration::from_secs(5)) {
+            Ok(()) => {}
+            Err(RecvTimeoutError::Timeout) => panic!("stop() hung"),
+            Err(RecvTimeoutError::Disconnected) => panic!("stop() panicked"),
+        }
+    }
+
+    #[test]
+    fn stop_returns_for_an_idle_server() {
+        let (server, _addr, _hub, _stop) = start(ServerOptions::default());
+        stops_within_5s(server);
+    }
+
+    #[test]
+    fn stop_returns_after_shutdown() {
+        let (server, addr, _hub, stop) = start(ServerOptions::default());
+        http_get_lines(&addr, "/shutdown", None).unwrap();
+        assert!(stop.load(Ordering::Relaxed));
+        stops_within_5s(server);
+    }
+
+    #[test]
+    fn stop_wakes_a_wildcard_bind_over_loopback() {
+        let server = serve(
+            "0.0.0.0:0",
+            MonitorHub::new(8),
+            Arc::new(AtomicBool::new(false)),
+        )
+        .unwrap();
+        let addr = format!("127.0.0.1:{}", server.addr().port());
+        assert_eq!(http_get_lines(&addr, "/healthz", None).unwrap(), ["ok"]);
+        stops_within_5s(server);
+    }
+
+    #[test]
+    fn wake_addr_maps_wildcards_to_loopback() {
+        // Linux routes a connect to 0.0.0.0 to loopback anyway, so the
+        // wildcard test above passes without the mapping; pin it here.
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:9100"), "127.0.0.1:9100");
+        assert_eq!(wake("[::]:9100"), "[::1]:9100");
+        assert_eq!(wake("10.1.2.3:9100"), "10.1.2.3:9100");
+    }
+
+    #[test]
+    fn back_to_back_requests_wait_on_no_poll() {
+        let (server, addr, _hub, _stop) = start(ServerOptions::default());
+        let t0 = Instant::now();
+        for _ in 0..50 {
+            assert_eq!(http_get_lines(&addr, "/healthz", None).unwrap(), ["ok"]);
+        }
+        let took = t0.elapsed();
+        server.stop();
+        // A 20 ms accept poll made this ≈ 1 s; blocking accept ≈ 15 ms.
+        assert!(
+            took < Duration::from_millis(500),
+            "50 requests took {took:?}"
+        );
     }
 }
